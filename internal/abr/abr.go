@@ -11,6 +11,7 @@
 package abr
 
 import (
+	"sort"
 	"time"
 
 	trace "repro/internal/obs/trace"
@@ -151,14 +152,21 @@ func (h HYB) SelectRung(ctx Context) int {
 	if x <= 0 {
 		return 0
 	}
-	discounted := units.BitsPerSecond(float64(x) * beta)
-	best := 0
-	for rung := range ctx.Title.Ladder {
-		if predictedBufferPositive(ctx, rung, look, discounted) {
-			best = rung
-		}
-	}
-	return best
+	return highestFeasibleRung(ctx, look, units.BitsPerSecond(float64(x)*beta))
+}
+
+// highestFeasibleRung is the highest rung whose predicted buffer stays
+// positive over the lookahead at throughput x, or rung 0 when none does.
+// Feasibility is monotone in the rung — ladder bitrates strictly ascend,
+// SizeAt floors nominal·jitter, TimeToSend truncates and the MaxBuffer clamp
+// is monotone, so a larger rung never leaves more buffer at any step — which
+// makes the feasible rungs a prefix of the ladder and lets a binary search
+// (about 4 simulations on the 13-rung default ladder) find its end.
+func highestFeasibleRung(ctx Context, look int, x units.BitsPerSecond) int {
+	firstInfeasible := sort.Search(len(ctx.Title.Ladder), func(rung int) bool {
+		return !predictedBufferPositive(ctx, rung, look, x)
+	})
+	return max(firstInfeasible-1, 0)
 }
 
 // predictedBufferPositive simulates the buffer over the lookahead at the

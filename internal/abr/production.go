@@ -79,13 +79,7 @@ func (p Production) SelectRung(ctx Context) int {
 		return maxRungAtOrBelow(ctx.Title.Ladder, units.BitsPerSecond(float64(est)*beta))
 	}
 
-	discounted := units.BitsPerSecond(float64(x) * beta)
-	best := 0
-	for rung := range ctx.Title.Ladder {
-		if predictedBufferPositive(ctx, rung, look, discounted) {
-			best = rung
-		}
-	}
+	best := highestFeasibleRung(ctx, look, units.BitsPerSecond(float64(x)*beta))
 
 	// Hysteresis: climbing is damped to one rung per chunk unless the
 	// buffer is comfortable; dropping is immediate (rebuffer avoidance

@@ -1,0 +1,112 @@
+package abr
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/units"
+	"repro/internal/video"
+)
+
+// linearFeasibleRung is the exhaustive scan highestFeasibleRung replaces:
+// simulate every rung and keep the highest feasible one (rung 0 if none).
+// It is the oracle for the binary search.
+func linearFeasibleRung(ctx Context, look int, x units.BitsPerSecond) int {
+	best := 0
+	for rung := range ctx.Title.Ladder {
+		if predictedBufferPositive(ctx, rung, look, x) {
+			best = rung
+		}
+	}
+	return best
+}
+
+// randomLadder draws a strictly ascending ladder of 1–16 rungs. Some steps
+// are a single bit per second, so neighbouring rungs can floor to the same
+// chunk size; every third ladder is capped with CapAt.
+func randomLadder(rng *rand.Rand) video.Ladder {
+	n := 1 + rng.Intn(16)
+	rates := make([]units.BitsPerSecond, n)
+	r := units.BitsPerSecond(50_000 + rng.Intn(500_000))
+	for i := range rates {
+		rates[i] = r
+		if rng.Intn(5) == 0 {
+			r++
+		} else {
+			r += units.BitsPerSecond(1 + rng.Intn(int(r)))
+		}
+	}
+	l := video.NewLadder(rates...)
+	if rng.Intn(3) == 0 {
+		l = l.CapAt(rates[rng.Intn(n)] + units.BitsPerSecond(rng.Intn(2)))
+	}
+	return l
+}
+
+// TestHighestFeasibleRungMatchesLinearScan checks that the binary search
+// picks exactly the rung the linear scan picks, for HYB's and Production's
+// parameters, over random ladders, titles, buffers, buffer caps and
+// throughputs from a quarter of the lowest rung to four times the top.
+func TestHighestFeasibleRungMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	algs := []struct {
+		name string
+		alg  Algorithm
+		look int
+		beta float64
+	}{
+		{"hyb", HYB{}, 5, 0.5},
+		{"production", Production{}, 8, 0.7},
+	}
+	var cases, interior int
+	for trial := 0; trial < 3000; trial++ {
+		ladder := randomLadder(rng)
+		chunkDur := time.Duration(1+rng.Intn(6)) * time.Second
+		numChunks := 1 + rng.Intn(40)
+		var jitter *rand.Rand
+		if rng.Intn(4) != 0 {
+			jitter = rng
+		}
+		title := video.NewTitle(ladder, chunkDur, numChunks, jitter)
+		var maxBuf time.Duration
+		if rng.Intn(2) == 0 {
+			maxBuf = time.Duration(1+rng.Intn(60)) * time.Second
+		}
+		lo, hi := float64(ladder.Lowest().Bitrate)/4, float64(ladder.Top().Bitrate)*4
+		for j := 0; j < 10; j++ {
+			x := units.BitsPerSecond(lo * math.Pow(hi/lo, rng.Float64()))
+			ctx := Context{
+				Title:      title,
+				ChunkIndex: rng.Intn(numChunks),
+				Buffer:     time.Duration(rng.Int63n(int64(40 * time.Second))),
+				MaxBuffer:  maxBuf,
+				Playing:    true,
+				Throughput: x,
+				PrevRung:   -1,
+			}
+			for _, a := range algs {
+				discounted := units.BitsPerSecond(float64(x) * a.beta)
+				want := linearFeasibleRung(ctx, a.look, discounted)
+				if got := highestFeasibleRung(ctx, a.look, discounted); got != want {
+					t.Fatalf("trial %d %s: highestFeasibleRung = %d, linear scan = %d (ladder %v, ctx %+v)",
+						trial, a.name, got, want, ladder, ctx)
+				}
+				// With no previous rung Production applies no hysteresis,
+				// so both algorithms return the feasibility answer as is.
+				if got := a.alg.SelectRung(ctx); got != want {
+					t.Fatalf("trial %d %s: SelectRung = %d, linear scan = %d", trial, a.name, got, want)
+				}
+				cases++
+				if want > 0 && want < len(ladder)-1 {
+					interior++
+				}
+			}
+		}
+	}
+	// The draws must exercise the search, not just its two ends.
+	if interior < cases/4 {
+		t.Errorf("only %d of %d cases picked an interior rung", interior, cases)
+	}
+}
