@@ -14,7 +14,7 @@ import (
 // and lookahead optimizations must not move a single bit of any session's
 // QoE. Update only for intentional semantic changes (rerun with
 // -run TestGoldenABTrace -v to print the new value).
-const goldenABHash = "ab825cc6c9dd4eeb"
+const goldenABHash = "8b3f8990a90364ea"
 
 // TestGoldenABTrace is the cross-version determinism lock for abtest.Run:
 // the full session-record stream of a control-vs-Sammy population at fixed

@@ -17,7 +17,7 @@ import (
 // goldenShardedHash pins the byte-exact sharded Table 2 + Fig 3 output for
 // shardConfig(7). Every path to this output — uninterrupted, killed and
 // resumed, resumed over corrupted checkpoints — must reproduce it exactly.
-const goldenShardedHash = "bf50229c950e3e85"
+const goldenShardedHash = "4d4fb621f910c3dd"
 
 // shardConfig is a small sharded run: 48 users in 5 shards of 10.
 func shardConfig(seed int64) ShardRunConfig {

@@ -23,7 +23,7 @@ import (
 // any change to span emission order, naming, attributes or sim-clock
 // timestamps shows up here. If you change the span taxonomy on purpose,
 // rerun with -run TestNetmodelTraceGolden -v and update the constant.
-const goldenNetmodelTraceHash = "3f578efc04d64c41"
+const goldenNetmodelTraceHash = "7061621926e623f1"
 
 // netmodelTraceJSONL runs one fixed-seed analytic-fidelity session with an
 // explicitly injected tracer and returns the JSONL export.

@@ -433,20 +433,31 @@ func (c *Conn) result(size, retx units.Bytes, dur, first, meanRTT time.Duration,
 }
 
 // binomialLosses draws the number of randomly lost segments out of n at
-// rate p, using a normal approximation for large n.
+// rate p. Below a mean of 5 losses it is exact: it jumps from one loss to
+// the next by geometric gaps (the number of segments up to and including
+// the next loss is Geometric(p), drawn by inversion), so it costs k+1
+// random numbers for k losses rather than one per segment. At larger means
+// it uses a normal approximation.
 func (c *Conn) binomialLosses(n int64, p float64) int64 {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
+	if p >= 1 {
+		return n
+	}
 	mean := float64(n) * p
 	if mean < 5 {
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if c.rng.Float64() < p {
-				k++
+		logq := math.Log1p(-p)
+		var k, pos int64
+		for {
+			// Compared as a float: for tiny p the gap exceeds any int64.
+			gap := math.Floor(math.Log(1-c.rng.Float64())/logq) + 1
+			if gap > float64(n-pos) {
+				return k
 			}
+			pos += int64(gap)
+			k++
 		}
-		return k
 	}
 	sd := math.Sqrt(mean * (1 - p))
 	k := int64(math.Round(mean + c.rng.NormFloat64()*sd))
