@@ -24,6 +24,17 @@ func TestServerMetricsRoundTrip(t *testing.T) {
 		t.Fatal("fetch not paced")
 	}
 
+	// A rejected request bumps the bad counter, not the failed counter.
+	resp, err := srv.Client().Get(srv.URL + "/chunk?size=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// The handler records bytes served after its last write, which the
+	// client can read first; Close waits for every handler to return.
+	srv.Close()
+
 	if got := m.Requests.Value(); got != 1 {
 		t.Errorf("cdn_requests = %d, want 1", got)
 	}
@@ -67,12 +78,6 @@ func TestServerMetricsRoundTrip(t *testing.T) {
 		t.Errorf("no cdn_request event for size %d in %d events", int64(size), len(events))
 	}
 
-	// A rejected request bumps the bad counter, not the failed counter.
-	resp, err := srv.Client().Get(srv.URL + "/chunk?size=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if got := m.RequestsBad.Value(); got != 1 {
 		t.Errorf("cdn_requests_bad = %d, want 1", got)
 	}

@@ -90,7 +90,7 @@ func TestOverloadStorm(t *testing.T) {
 		t.Fatal("load-storm scenario has no storm config")
 	}
 	counter := &countingHandler{Handler: &Server{}}
-	ctrl, client, _ := startOverloadServer(t, overload.Config{
+	ctrl, client, srv := startOverloadServer(t, overload.Config{
 		MaxInFlight:  st.MaxInFlight,
 		MaxQueue:     st.MaxQueue,
 		QueueTimeout: st.QueueTimeout,
@@ -120,6 +120,11 @@ func TestOverloadStorm(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	// A fetcher can read its last byte before its handler releases the
+	// admission slot; Shutdown waits for every handler to return.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	if peak := counter.peak.Load(); peak > int64(st.MaxInFlight) {
 		t.Errorf("peak in-flight %d exceeded the admission limit %d", peak, st.MaxInFlight)
