@@ -4,6 +4,7 @@ import (
 	crand "crypto/rand"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -26,12 +27,22 @@ import (
 // keeps getting stolen with a growing attempt count until the coordinator
 // quarantines it.
 //
-// Steals race: two stealers can both rename over an expired lease, and the
-// loser's rename is silently replaced by the winner's. Every holder
-// therefore re-reads the file and checks that it still names them — after
-// claiming, on every heartbeat, and immediately before writing the shard
-// checkpoint. A holder that finds a different owner abandons the shard.
-// The unavoidable window (verify, then a steal lands, then both finish the
+// Steals race: every stealer that saw the same expired lease would rename
+// over it, and each would then read its own payload back. So a steal is
+// arbitrated first by an exclusive create of a steal marker named after
+// the expired lease's generation (its attempt and mtime):
+//
+//	shard-NNNN.lease.<attempt>-<mtime>-<n>.steal
+//
+// Exactly one stealer creates the marker; the rest walk away. A stealer
+// that reads the expired lease only after the winner's rename sees a fresh
+// lease and never tries. If a winner dies between its marker and its
+// rename, the marker outlives the TTL with the lease unchanged, and the
+// next stealer arbitrates on the following marker (n+1), so the shard
+// cannot wedge. Every holder still re-reads the file and checks that it
+// names them — after claiming, on every heartbeat, and immediately before
+// writing the shard checkpoint — and abandons the shard if it does not.
+// The remaining window (verify, then a steal lands, then both finish the
 // shard) is harmless by design: a shard checkpoint's bytes are a pure
 // function of the run config, so duplicate executions write identical
 // files and the merge — which reads each shard index exactly once — cannot
@@ -102,18 +113,25 @@ type leaseInfo struct {
 	owner   string
 	attempt int
 	age     time.Duration
+	mtime   time.Time // with attempt, names the lease generation a steal replaces
 }
 
-// inspectLease reads shard i's lease state without taking it.
+// inspectLease reads shard i's lease state without taking it. The mtime and
+// the payload come from one open file, so they describe the same lease
+// even if a steal renames a new one into place meanwhile.
 func inspectLease(dir string, shard int, ttl time.Duration) leaseInfo {
-	path := filepath.Join(dir, leaseFileName(shard))
-	fi, err := os.Stat(path)
+	f, err := os.Open(filepath.Join(dir, leaseFileName(shard)))
 	if err != nil {
 		return leaseInfo{state: leaseNone}
 	}
-	age := time.Since(fi.ModTime()) //sammy:nondeterministic-ok: lease liveness is wall-clock by design (file mtimes); it gates only who runs a shard, never the shard's deterministic output
-	info := leaseInfo{age: age}
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return leaseInfo{state: leaseNone}
+	}
+	age := mtimeAge(fi)
+	info := leaseInfo{age: age, mtime: fi.ModTime()}
+	data, err := io.ReadAll(f)
 	var p leasePayload
 	if err != nil || json.Unmarshal(data, &p) != nil || p.Schema != leaseSchema {
 		info.state = leaseCorrupt
@@ -131,6 +149,12 @@ func inspectLease(dir string, shard int, ttl time.Duration) leaseInfo {
 		info.state = leaseExpired
 	}
 	return info
+}
+
+// mtimeAge is how long ago fi was last modified: the liveness of leases and
+// steal markers.
+func mtimeAge(fi os.FileInfo) time.Duration {
+	return time.Since(fi.ModTime()) //sammy:nondeterministic-ok: lease liveness is wall-clock by design (file mtimes); it gates only who runs a shard, never the shard's deterministic output
 }
 
 // Lease is a held shard lease: the handle the owner uses to heartbeat,
@@ -202,6 +226,10 @@ func claimShardLease(dir string, shard int, owner, configHash string, ttl time.D
 		}
 		return &Lease{dir: dir, shard: shard, owner: owner, configHash: configHash, attempt: 1, ttl: ttl}, claimFresh, nil
 	default: // leaseExpired, leaseCorrupt past its TTL
+		won, err := arbitrateSteal(dir, shard, info, ttl)
+		if err != nil || !won {
+			return nil, 0, err
+		}
 		p := leasePayload{Schema: leaseSchema, ConfigHash: configHash, Shard: shard, Owner: owner, Attempt: info.attempt + 1}
 		body, err := json.Marshal(p)
 		if err != nil {
@@ -225,12 +253,45 @@ func claimShardLease(dir string, shard int, owner, configHash string, ttl time.D
 			return nil, 0, err
 		}
 		l := &Lease{dir: dir, shard: shard, owner: owner, configHash: configHash, attempt: p.Attempt, ttl: ttl}
-		// Concurrent stealers rename over each other; the last writer owns
-		// the shard. Verify before declaring victory.
+		// Only a stealer stalled past a whole TTL after its own
+		// arbitration can have renamed over us; verify before declaring
+		// victory.
 		if !l.ownedByMe() {
 			return nil, 0, nil
 		}
 		return l, claimStolen, nil
+	}
+}
+
+// stealMarkerName names the n-th arbitration marker for replacing the lease
+// generation seen in info.
+func stealMarkerName(shard int, info leaseInfo, n int) string {
+	return fmt.Sprintf("%s.%d-%d-%d.steal", leaseFileName(shard), info.attempt, info.mtime.UnixNano(), n)
+}
+
+// arbitrateSteal decides which of the stealers that saw the same expired
+// lease generation may replace it: the one whose exclusive create of the
+// generation's steal marker succeeds. A marker older than the TTL whose
+// generation is still in place belongs to a stealer that died before its
+// rename, and arbitration moves on to the next marker.
+func arbitrateSteal(dir string, shard int, info leaseInfo, ttl time.Duration) (bool, error) {
+	for n := 0; ; n++ {
+		path := filepath.Join(dir, stealMarkerName(shard, info, n))
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			return true, f.Close()
+		}
+		if !os.IsExist(err) {
+			return false, err
+		}
+		fi, err := os.Stat(path)
+		if err != nil || mtimeAge(fi) < ttl {
+			return false, nil
+		}
+		now := inspectLease(dir, shard, ttl)
+		if now.attempt != info.attempt || !now.mtime.Equal(info.mtime) {
+			return false, nil // the winner's lease is in place
+		}
 	}
 }
 

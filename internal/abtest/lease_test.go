@@ -155,6 +155,34 @@ func TestLeaseStealRace(t *testing.T) {
 	}
 }
 
+// TestLeaseStealPastDeadArbiter plants the steal marker of a stealer that
+// won arbitration and died before its rename: while the marker is younger
+// than the TTL nobody else may steal, and once it is older the next
+// stealer arbitrates past it.
+func TestLeaseStealPastDeadArbiter(t *testing.T) {
+	dir := t.TempDir()
+	const ttl = time.Minute
+	plantLease(t, dir, 0, "dead", 1, "hash", time.Hour)
+	marker := filepath.Join(dir, stealMarkerName(0, inspectLease(dir, 0, ttl), 0))
+	if err := os.WriteFile(marker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, _, err := claimShardLease(dir, 0, "thief", "hash", ttl); err != nil || l != nil {
+		t.Fatalf("stole past a live arbiter's marker: lease=%v err=%v", l, err)
+	}
+	old := time.Unix(1, 0)
+	if err := os.Chtimes(marker, old, old); err != nil {
+		t.Fatal(err)
+	}
+	l, kind, err := claimShardLease(dir, 0, "thief", "hash", ttl)
+	if err != nil || l == nil || kind != claimStolen {
+		t.Fatalf("steal past a dead arbiter: lease=%v kind=%v err=%v", l, kind, err)
+	}
+	if l.Attempt() != 2 {
+		t.Errorf("stolen lease attempt = %d, want 2", l.Attempt())
+	}
+}
+
 // TestLeaseHeartbeatKeepsFresh holds a short-TTL lease across several TTLs
 // under heartbeat: nobody may steal it while its holder lives.
 func TestLeaseHeartbeatKeepsFresh(t *testing.T) {
