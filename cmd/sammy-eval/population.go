@@ -145,8 +145,9 @@ func runPopulation(cfg abtest.Config, opts populationOpts) {
 // runPopulationSingle is the crash-resumable single-process population A/B:
 // the experiment runs shard by shard in bounded memory, checkpointing each
 // completed shard when -checkpoint-dir is set. SIGINT/SIGTERM request a
-// graceful stop — the in-flight shard finishes and checkpoints, the process
-// exits 0, and a rerun with -resume picks up where it left off. Progress
+// graceful stop — the shard being finished checkpoints, the next one
+// (already running) is discarded, the process exits 0, and a rerun with
+// -resume picks up where it left off. Progress
 // goes to stderr; the final tables go to stdout only when the run completes,
 // so stdout can be diffed byte-for-byte against an uninterrupted run.
 func runPopulationSingle(cfg abtest.Config, opts populationOpts) {

@@ -88,17 +88,18 @@ func NewEstimator(window int) *Estimator {
 	if window <= 0 {
 		window = 5
 	}
-	return &Estimator{maxSize: window}
+	return &Estimator{window: make([]units.BitsPerSecond, 0, window+1), maxSize: window}
 }
 
-// Observe records one chunk throughput measurement.
+// Observe records one chunk throughput measurement. The window shifts in
+// place, oldest to newest, so a warm estimator never allocates.
 func (e *Estimator) Observe(x units.BitsPerSecond) {
 	if x <= 0 {
 		return
 	}
 	e.window = append(e.window, x)
 	if len(e.window) > e.maxSize {
-		e.window = e.window[1:]
+		e.window = e.window[:copy(e.window, e.window[1:])]
 	}
 }
 
@@ -113,6 +114,9 @@ func (e *Estimator) Estimate() units.BitsPerSecond {
 	}
 	return units.BitsPerSecond(float64(len(e.window)) / invSum)
 }
+
+// Size reports the window length the estimator averages over.
+func (e *Estimator) Size() int { return e.maxSize }
 
 // Count reports how many samples are in the window.
 func (e *Estimator) Count() int { return len(e.window) }

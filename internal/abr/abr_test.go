@@ -61,6 +61,54 @@ func TestEstimatorWindowSlides(t *testing.T) {
 	}
 }
 
+// TestEstimatorObserveAllocFree: a warm estimator shifts its window in
+// place instead of re-slicing forward, so steady-state Observe never
+// allocates.
+func TestEstimatorObserveAllocFree(t *testing.T) {
+	e := NewEstimator(5)
+	for i := 1; i <= 10; i++ {
+		e.Observe(units.BitsPerSecond(i) * units.Mbps)
+	}
+	x := units.BitsPerSecond(1)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		x++
+		e.Observe(x * units.Mbps)
+	}); allocs != 0 {
+		t.Errorf("Observe allocates %v times per call after warm-up, want 0", allocs)
+	}
+}
+
+// TestEstimatorMatchesSlidingWindow checks the in-place shift against the
+// reference sliding window (append, then drop the oldest): same samples in
+// the same oldest-to-newest order, hence a bit-identical harmonic mean.
+func TestEstimatorMatchesSlidingWindow(t *testing.T) {
+	for _, size := range []int{1, 2, 5, 7} {
+		e := NewEstimator(size)
+		var ref []units.BitsPerSecond
+		x := units.BitsPerSecond(0.37 * float64(units.Mbps))
+		for i := 0; i < 50; i++ {
+			x = x*1.7 + units.BitsPerSecond(i%5)*units.Mbps
+			if x > 100*units.Mbps {
+				x /= 97
+			}
+			e.Observe(x)
+			ref = append(ref, x)
+			if len(ref) > size {
+				ref = ref[1:]
+			}
+			var inv float64
+			for _, r := range ref {
+				inv += 1 / float64(r)
+			}
+			want := units.BitsPerSecond(float64(len(ref)) / inv)
+			if got := e.Estimate(); got != want || e.Count() != len(ref) {
+				t.Fatalf("window %d, sample %d: estimate %v (n=%d), reference %v (n=%d)",
+					size, i, got, e.Count(), want, len(ref))
+			}
+		}
+	}
+}
+
 func TestHYBMoreThroughputHigherRung(t *testing.T) {
 	h := HYB{Beta: 0.5, Lookahead: 5}
 	prev := -1

@@ -20,12 +20,13 @@ import (
 //	shard-NNNN.ckpt  — one file per completed shard: a checksummed header
 //	                   line plus the shard's serialized arm sketches
 //
-// Every write is atomic (tmp file + fsync + rename), so a SIGKILL at any
-// instant leaves either the old file, the new file, or a stray *.tmp that
-// validation ignores — never a torn file that parses. Each shard file
-// carries an FNV-64a checksum of its payload; on resume, any shard whose
-// file is missing, truncated, corrupted, config-mismatched, or listed twice
-// in the manifest is discarded and re-run rather than merged.
+// Every write is atomic (tmp file + fsync + rename + dir fsync), so a
+// SIGKILL at any instant leaves either the old file, the new file, or a
+// stray *.tmp that validation ignores — never a torn file that parses.
+// Each shard file carries an FNV-64a checksum of its payload; on resume,
+// any shard whose file is missing, truncated, corrupted, config-mismatched,
+// or listed twice in the manifest is discarded and re-run rather than
+// merged.
 
 const (
 	checkpointSchema = "sammy-ckpt/v1"
@@ -106,16 +107,6 @@ func fsyncDir(dir string) error {
 	return d.Sync()
 }
 
-// fsyncFile opens and fsyncs an existing file by path.
-func fsyncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
 // ensureDurableDir creates dir (and parents) and fsyncs both the directory
 // and its parent, so the directory itself survives a power-loss-style kill.
 // Without the parent fsync, a crash right after MkdirAll can lose the whole
@@ -140,22 +131,25 @@ func ensureDurableDir(dir string) error {
 	return nil
 }
 
-// atomicWriteFile writes data to dir/name via a temp file + fsync + rename,
-// then fsyncs the renamed file and its parent directory, so a completed
-// write survives power-loss-style kills (not just process SIGKILL). The
-// full recipe is: write tmp, fsync tmp, rename, fsync file, fsync dir — a
-// crash at any instant leaves either the old file, the new file, or a
-// stray *.tmp that validation ignores.
-func atomicWriteFile(dir, name string, data []byte) error {
+// atomicWriteFile writes the concatenation of parts to dir/name so that a
+// completed write survives power-loss-style kills (not just process
+// SIGKILL). The recipe is: write tmp, fsync tmp, rename, fsync dir. The
+// tmp fsync puts the bytes on disk before they get a name, and the
+// directory fsync makes the rename durable; a crash at any instant leaves
+// either the old file, the new file, or a stray *.tmp that validation
+// ignores.
+func atomicWriteFile(dir, name string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -166,9 +160,6 @@ func atomicWriteFile(dir, name string, data []byte) error {
 	}
 	final := filepath.Join(dir, name)
 	if err := os.Rename(tmpName, final); err != nil {
-		return err
-	}
-	if err := fsyncFile(final); err != nil {
 		return err
 	}
 	return fsyncDir(dir)
@@ -184,9 +175,9 @@ func writeShardCheckpoint(dir string, p shardPayload) (ManifestShard, error) {
 		return ManifestShard{}, err
 	}
 	sum := fnvHex(body)
-	data := append([]byte(fmt.Sprintf("%s %s %d\n", checkpointSchema, sum, len(body))), body...)
+	header := fmt.Appendf(nil, "%s %s %d\n", checkpointSchema, sum, len(body))
 	name := shardFileName(p.Shard)
-	if err := atomicWriteFile(dir, name, data); err != nil {
+	if err := atomicWriteFile(dir, name, header, body); err != nil {
 		return ManifestShard{}, fmt.Errorf("abtest: checkpoint shard %d: %w", p.Shard, err)
 	}
 	return ManifestShard{Index: p.Shard, Lo: p.Lo, Hi: p.Hi, Checksum: sum, File: name}, nil

@@ -69,7 +69,7 @@ type CoordinatorConfig struct {
 	// lease has burned this many attempts and expired again is quarantined
 	// instead of retried. Default DefaultMaxShardAttempts.
 	MaxShardAttempts int
-	// MaxShardRetries is the per-run user-failure retry budget (runShard).
+	// MaxShardRetries is the per-run user-failure retry budget of a shard.
 	// Default DefaultShardRetries.
 	MaxShardRetries int
 	// PollInterval is the supervision rescan period. Default LeaseTTL/2.
@@ -199,6 +199,10 @@ func RunCoordinator(cfg CoordinatorConfig) (*ShardedResult, error) {
 		CheckpointDir:   cfg.CheckpointDir,
 		MaxShardRetries: cfg.MaxShardRetries,
 	}
+	// The coordinator's own worker set, for leases it recovers in-process
+	// and for shards still unresolved at merge time.
+	pool := newRunner(cfg.Experiment, cfg.Arms)
+	defer pool.close()
 
 	// Fork the fleet.
 	start := cfg.StartWorker
@@ -275,7 +279,7 @@ supervise:
 			if lease == nil {
 				continue // raced a worker; it owns the shard now
 			}
-			ran, _, userErrors := runLeasedShard(scfg, hash, plan[i], i, len(plan), lease, kind, cfg.Progress, cfg.Metrics, -1)
+			ran, _, userErrors := runLeasedShard(pool, scfg, hash, plan[i], i, len(plan), lease, kind, cfg.Progress, cfg.Metrics, -1)
 			if ran {
 				reran[i] = true
 				if kind == claimStolen {
@@ -299,7 +303,7 @@ supervise:
 	drainWorkers(handles, &wg, cfg.DrainTimeout)
 	setWorkersAlive(cfg.Metrics, 0)
 
-	res, err := mergeFleet(cfg, scfg, hash, plan, stopped, preResolved, reran)
+	res, err := mergeFleet(pool, cfg, scfg, hash, plan, stopped, preResolved, reran)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +405,7 @@ func loadShardFile(dir, hash string, plan []shardRange, i int) (*shardPayload, s
 // sketches in ascending shard order, and rewrite the manifest as the
 // authoritative ledger. A valid checkpoint takes precedence over a poison
 // marker — if the data exists, it is used.
-func mergeFleet(cfg CoordinatorConfig, scfg ShardRunConfig, hash string, plan []shardRange,
+func mergeFleet(w *runner, cfg CoordinatorConfig, scfg ShardRunConfig, hash string, plan []shardRange,
 	stopped bool, preResolved, reran map[int]bool) (*ShardedResult, error) {
 	res := &ShardedResult{NumShards: len(plan), Stopped: stopped}
 	res.Arms = make([]*ArmSketch, len(cfg.Arms))
@@ -441,12 +445,7 @@ func mergeFleet(cfg CoordinatorConfig, scfg ShardRunConfig, hash string, plan []
 			// Unresolved after the fleet drained (or rejected above): the
 			// coordinator runs it here, which also covers the stop-less case
 			// where every worker exited without finishing.
-			arms, userErrors, retries := runShard(scfg, plan[i])
-			payload := shardPayload{ConfigHash: hash, Shard: i, Lo: plan[i].lo, Hi: plan[i].hi,
-				UserErrors: userErrors, Retries: retries}
-			for _, a := range arms {
-				payload.Arms = append(payload.Arms, a.snapshot())
-			}
+			payload := w.runShard(scfg, hash, i, plan[i])
 			entry, werr := writeShardCheckpoint(cfg.CheckpointDir, payload)
 			if werr != nil {
 				return nil, werr

@@ -1,16 +1,11 @@
 package abtest
 
 import (
-	"fmt"
-	"math/rand"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/abr"
 	"repro/internal/core"
-	trace "repro/internal/obs/trace"
 	"repro/internal/player"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -97,7 +92,7 @@ type Config struct {
 	Ladder video.Ladder
 	// ChunkDuration; default 4 s.
 	ChunkDuration time.Duration
-	// Parallelism bounds worker goroutines; default GOMAXPROCS.
+	// Parallelism is the number of worker goroutines; default GOMAXPROCS.
 	Parallelism int
 }
 
@@ -186,122 +181,27 @@ func (r ArmResult) Values(m Metric) []float64 {
 // user's pre-experiment throughput with control sessions, then runs every
 // arm against identical per-user copies (same path, same seeds, fresh
 // histories), which is the §5.7 "reset historical throughput in both
-// groups" design. Sessions after the warmup are recorded.
+// groups" design. Sessions after the warmup are recorded. A user whose
+// sequence failed in an arm (recovered panic) contributes no sessions to
+// that arm and is counted in its Errors.
 func Run(cfg Config, arms []Arm) []ArmResult {
 	cfg = cfg.withDefaults()
-	users := GeneratePopulation(cfg.Population)
-	measurePreExperiment(cfg, users)
+	r := newRunner(cfg, arms)
+	defer r.close()
+	b := r.submit(GeneratePopulation(cfg.Population))
+	b.pending.Wait()
 
 	results := make([]ArmResult, len(arms))
-	for i, arm := range arms {
-		results[i] = runArm(cfg, arm, users)
+	for a, arm := range arms {
+		res := ArmResult{Name: arm.Name}
+		for i := range b.users {
+			if b.errs[i*r.stages()+1+a] != nil {
+				res.Errors++
+				continue
+			}
+			res.Sessions = append(res.Sessions, r.userRecs(b, a, i)...)
+		}
+		results[a] = res
 	}
 	return results
-}
-
-// measurePreExperiment fills each user's PreExpThroughput with the p95 of
-// per-chunk throughput from a short unpaced control session. It returns
-// per-user errors (slice-position indexed, nil entries for healthy users).
-func measurePreExperiment(cfg Config, users []*User) []error {
-	return forEachUser(cfg.Parallelism, users, func(_ int, u *User) {
-		rng := rand.New(rand.NewSource(u.Seed ^ 0x5eed))
-		title := video.NewTitle(cfg.Ladder.CapAt(u.TopBitrate), cfg.ChunkDuration, 40, rng)
-		ctrl := core.NewControl(productionABR(0))
-		var tputs []float64
-		player.Run(player.Config{
-			Controller: ctrl,
-			Title:      title,
-			History:    &core.History{},
-		}, u.Path, rng, func(ev player.ChunkEvent) {
-			tputs = append(tputs, ev.Throughput.Mbps())
-		})
-		u.PreExpThroughput = units.BitsPerSecond(p95(tputs)) * units.Mbps
-	})
-}
-
-// runArm runs every user's session sequence under one arm. Users whose
-// sequence failed (recovered panic) contribute no sessions and are counted
-// in ArmResult.Errors.
-func runArm(cfg Config, arm Arm, users []*User) ArmResult {
-	perUser, errs := runArmPerUser(cfg, arm, users)
-	res := ArmResult{Name: arm.Name}
-	for i, recs := range perUser {
-		if errs[i] != nil {
-			res.Errors++
-			continue
-		}
-		res.Sessions = append(res.Sessions, recs...)
-	}
-	return res
-}
-
-// runArmPerUser is the streaming-friendly core of runArm: it returns the
-// measured sessions grouped by user position (not user ID — shards hand in
-// user-id ranges that do not start at zero) alongside per-user errors.
-func runArmPerUser(cfg Config, arm Arm, users []*User) ([][]SessionRecord, []error) {
-	perUser := make([][]SessionRecord, len(users))
-
-	errs := forEachUser(cfg.Parallelism, users, func(i int, u *User) {
-		// Paired design: every arm sees the same user RNG stream and a
-		// fresh history.
-		rng := rand.New(rand.NewSource(u.Seed))
-		hist := &core.History{}
-		ctrl := arm.NewController()
-		// Warm the history with unrecorded sessions first; they consume the
-		// user's RNG stream, which is fine — the warmed arm is its own cell,
-		// not paired sample-for-sample against a cold arm's streams.
-		for s := 0; s < arm.WarmSessions; s++ {
-			title := video.NewTitle(cfg.Ladder.CapAt(u.TopBitrate), cfg.ChunkDuration, cfg.ChunksPerSession, rng)
-			player.Run(player.Config{Controller: ctrl, Title: title, History: hist}, u.Path, rng, nil)
-		}
-		var recs []SessionRecord
-		for s := 0; s < cfg.SessionsPerUser; s++ {
-			title := video.NewTitle(cfg.Ladder.CapAt(u.TopBitrate), cfg.ChunkDuration, cfg.ChunksPerSession, rng)
-			// Trace IDs are only materialized when a process tracer is
-			// installed (sammy-eval -trace): the fmt.Sprintf would otherwise
-			// add a per-session allocation to the hot benchmark path.
-			var traceID string
-			if trace.Default() != nil {
-				traceID = fmt.Sprintf("%s/u%03d/s%d", arm.Name, u.ID, s)
-			}
-			q := player.Run(player.Config{
-				Controller: ctrl,
-				Title:      title,
-				History:    hist,
-				TraceID:    traceID,
-			}, u.Path, rng, nil)
-			if s >= cfg.WarmupSessions {
-				recs = append(recs, SessionRecord{UserID: u.ID, PreExp: u.PreExpThroughput, QoE: q})
-			}
-		}
-		perUser[i] = recs
-	})
-	return perUser, errs
-}
-
-// forEachUser applies fn to every user with bounded parallelism, passing the
-// user's slice position. A panic inside fn is recovered into that user's
-// error slot instead of crashing the process: one poisoned controller must
-// not kill a multi-hour population run. The returned slice is parallel to
-// users (nil entries for healthy users).
-func forEachUser(parallelism int, users []*User, fn func(i int, u *User)) []error {
-	sem := make(chan struct{}, parallelism)
-	errs := make([]error, len(users))
-	var wg sync.WaitGroup
-	for i, u := range users {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u *User) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("user %d: panic: %v\n%s", u.ID, r, debug.Stack())
-				}
-			}()
-			fn(i, u)
-		}(i, u)
-	}
-	wg.Wait()
-	return errs
 }

@@ -49,7 +49,7 @@ import (
 // double-count. See DESIGN.md §15 for the full argument.
 
 const (
-	leaseSchema = "sammy-lease/v1"
+	leaseSchema  = "sammy-lease/v1"
 	poisonSchema = "sammy-poison/v1"
 
 	// DefaultLeaseTTL is how stale a lease's mtime must be before another

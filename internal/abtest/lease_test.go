@@ -256,7 +256,9 @@ func TestRunLeasedShardAbandonsStolenShard(t *testing.T) {
 		t.Fatalf("steal: %v %v", thief, err)
 	}
 
-	ran, abandoned, _ := runLeasedShard(cfg, hash, plan[0], 0, len(plan), victim, kind, nil, nil, 0)
+	w := newRunner(cfg.Experiment, cfg.Arms)
+	defer w.close()
+	ran, abandoned, _ := runLeasedShard(w, cfg, hash, plan[0], 0, len(plan), victim, kind, nil, nil, 0)
 	if ran || !abandoned {
 		t.Fatalf("stolen shard: ran=%v abandoned=%v, want false/true", ran, abandoned)
 	}
@@ -277,12 +279,9 @@ func TestDuplicateShardExecutionIsByteIdentical(t *testing.T) {
 	write := func(dir string) []byte {
 		cfg := cfg
 		cfg.CheckpointDir = dir
-		arms, userErrors, retries := runShard(cfg, plan[1])
-		payload := shardPayload{ConfigHash: hash, Shard: 1, Lo: plan[1].lo, Hi: plan[1].hi,
-			UserErrors: userErrors, Retries: retries}
-		for _, a := range arms {
-			payload.Arms = append(payload.Arms, a.snapshot())
-		}
+		w := newRunner(cfg.Experiment, cfg.Arms)
+		payload := w.runShard(cfg, hash, 1, plan[1])
+		w.close()
 		if _, err := writeShardCheckpoint(dir, payload); err != nil {
 			t.Fatal(err)
 		}

@@ -217,13 +217,11 @@ func BucketIndex(x units.BitsPerSecond) int {
 	return len(PreExpBuckets) - 1
 }
 
-// p95 returns the 95th percentile of xs.
+// p95 returns the 95th percentile of xs, sorting xs in place.
 func p95(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return stats.Quantile(s, 0.95)
+	sort.Float64s(xs)
+	return stats.QuantileSorted(xs, 0.95)
 }

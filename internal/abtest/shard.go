@@ -64,9 +64,10 @@ type ShardRunConfig struct {
 	// this many extra times before accepting it with those users excluded.
 	// Default DefaultShardRetries.
 	MaxShardRetries int
-	// Stop, when non-nil, requests a graceful stop: the in-flight shard
-	// finishes and checkpoints, no further shard starts, and RunSharded
-	// returns a partial result with Stopped set.
+	// Stop, when non-nil, requests a graceful stop: shards already finished
+	// stay checkpointed, a shard prefetched but not yet finished is
+	// discarded without a checkpoint, and RunSharded returns a partial
+	// result with Stopped set.
 	Stop <-chan struct{}
 	// Progress, when non-nil, observes shard lifecycle events.
 	Progress func(ShardEvent)
@@ -260,6 +261,22 @@ func RunSharded(cfg ShardRunConfig) (*ShardedResult, error) {
 		}
 		return nil
 	}
+	// The workers run shard i+1 (the next shard with no checkpoint to load)
+	// while this goroutine folds, checkpoints and reports shard i; that is
+	// at most two shards in flight. A shard's "done" event is emitted only
+	// once its checkpoint and manifest are durable.
+	w := newRunner(cfg.Experiment, cfg.Arms)
+	type prefetched struct {
+		shard int
+		b     *batch
+	}
+	var ahead *prefetched
+	defer func() {
+		if ahead != nil {
+			w.discard(ahead.b)
+		}
+		w.close()
+	}()
 	stopped := false
 	for i, r := range plan {
 		if p, ok := loaded[i]; ok {
@@ -283,12 +300,28 @@ func RunSharded(cfg ShardRunConfig) (*ShardedResult, error) {
 			}
 		}
 		if cfg.stopRequested() {
+			// A prefetched shard is discarded by the deferred cleanup, not
+			// checkpointed: a stop commits only shards already finished.
 			stopped = true
 			cfg.observe(ShardEvent{Shard: i, NumShards: len(plan), Lo: r.lo, Hi: r.hi, Status: "stopped"})
 			break
 		}
 
-		arms, userErrors, retries := runShard(cfg, r)
+		var b *batch
+		if ahead != nil && ahead.shard == i {
+			b, ahead = ahead.b, nil
+		} else {
+			b = w.startShard(cfg.Experiment.Population, r)
+		}
+		if ahead == nil {
+			for j := i + 1; j < len(plan); j++ {
+				if _, ok := loaded[j]; !ok {
+					ahead = &prefetched{shard: j, b: w.startShard(cfg.Experiment.Population, plan[j])}
+					break
+				}
+			}
+		}
+		arms, userErrors, retries := w.finishShard(cfg, r, b)
 		res.Completed++
 		res.UserErrors += userErrors
 		if retries > 0 {
@@ -300,14 +333,7 @@ func RunSharded(cfg ShardRunConfig) (*ShardedResult, error) {
 		}
 
 		if cfg.CheckpointDir != "" {
-			payload := shardPayload{
-				ConfigHash: hash, Shard: i, Lo: r.lo, Hi: r.hi,
-				UserErrors: userErrors, Retries: retries,
-			}
-			for _, a := range arms {
-				payload.Arms = append(payload.Arms, a.snapshot())
-			}
-			entry, err := writeShardCheckpoint(cfg.CheckpointDir, payload)
+			entry, err := writeShardCheckpoint(cfg.CheckpointDir, newShardPayload(hash, i, r, arms, userErrors, retries))
 			if err != nil {
 				return nil, err
 			}
@@ -316,6 +342,7 @@ func RunSharded(cfg ShardRunConfig) (*ShardedResult, error) {
 				return nil, fmt.Errorf("abtest: manifest: %w", err)
 			}
 		}
+		w.recycle(arms)
 		cfg.observe(ShardEvent{Shard: i, NumShards: len(plan), Lo: r.lo, Hi: r.hi,
 			Status: "done", UserErrors: userErrors})
 	}
@@ -363,13 +390,39 @@ func (c ShardRunConfig) observe(ev ShardEvent) {
 	}
 }
 
+// newShardPayload is the checkpoint body of a finished shard.
+func newShardPayload(hash string, shard int, r shardRange, arms []*ArmSketch, userErrors, retries int) shardPayload {
+	p := shardPayload{
+		ConfigHash: hash, Shard: shard, Lo: r.lo, Hi: r.hi,
+		UserErrors: userErrors, Retries: retries,
+	}
+	for _, a := range arms {
+		p.Arms = append(p.Arms, a.snapshot())
+	}
+	return p
+}
+
+// startShard draws shard r's users and queues them on the workers.
+func (w *runner) startShard(pop PopulationConfig, r shardRange) *batch {
+	return w.submit(GenerateUserRange(pop, r.lo, r.hi))
+}
+
 // runShard runs one shard's full experiment — population range, paired
-// pre-experiment measurement, every arm — and folds the surviving users'
-// sessions into fresh per-arm sketches in user order. A user that fails
+// pre-experiment measurement, every arm — to completion (see finishShard)
+// and returns its checkpoint payload.
+func (w *runner) runShard(cfg ShardRunConfig, hash string, shard int, r shardRange) shardPayload {
+	arms, userErrors, retries := w.finishShard(cfg, r, w.startShard(cfg.Experiment.Population, r))
+	p := newShardPayload(hash, shard, r, arms, userErrors, retries)
+	w.recycle(arms)
+	return p
+}
+
+// finishShard waits for shard r's batch b and folds the surviving users'
+// sessions into empty per-arm sketches in user order. A user that fails
 // (recovered panic) in the pre-experiment phase or any arm is excluded from
 // every arm, preserving the paired design, and the whole shard is re-run up
 // to cfg.MaxShardRetries times in case the failure was transient.
-func runShard(cfg ShardRunConfig, r shardRange) (arms []*ArmSketch, userErrors, retries int) {
+func (w *runner) finishShard(cfg ShardRunConfig, r shardRange, b *batch) (arms []*ArmSketch, userErrors, retries int) {
 	span := traceShardSpan(r)
 	defer func() {
 		if span != nil {
@@ -378,10 +431,13 @@ func runShard(cfg ShardRunConfig, r shardRange) (arms []*ArmSketch, userErrors, 
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		arms, userErrors = runShardOnce(cfg.Experiment, cfg.Arms, r)
+		b.pending.Wait()
+		arms, userErrors = w.foldShard(b)
+		w.release(b)
 		if userErrors == 0 || attempt >= cfg.MaxShardRetries {
 			return arms, userErrors, attempt
 		}
+		b = w.startShard(cfg.Experiment.Population, r)
 	}
 }
 
@@ -396,41 +452,24 @@ func traceShardSpan(r shardRange) *trace.Span {
 		SetAttr("lo", float64(r.lo)).SetAttr("hi", float64(r.hi))
 }
 
-// runShardOnce is a single attempt at a shard.
-func runShardOnce(cfg Config, armSpecs []Arm, r shardRange) (arms []*ArmSketch, userErrors int) {
-	users := GenerateUserRange(cfg.Population, r.lo, r.hi)
-	failed := make([]bool, len(users))
-	for i, err := range measurePreExperiment(cfg, users) {
-		if err != nil {
-			failed[i] = true
-		}
-	}
-	perArm := make([][][]SessionRecord, len(armSpecs))
-	for a, arm := range armSpecs {
-		recs, errs := runArmPerUser(cfg, arm, users)
-		perArm[a] = recs
-		for i, err := range errs {
-			if err != nil {
-				failed[i] = true
-			}
-		}
-	}
-	for _, f := range failed {
-		if f {
+// foldShard folds a finished shard batch into per-arm sketches:
+// ascending user position, session order within the user, skipping users
+// that failed anywhere in the shard.
+func (w *runner) foldShard(b *batch) (arms []*ArmSketch, userErrors int) {
+	for i := range b.users {
+		if w.failed(b, i) {
 			userErrors++
 		}
 	}
-	arms = make([]*ArmSketch, len(armSpecs))
-	for a, arm := range armSpecs {
-		sketch := NewArmSketch(arm.Name)
+	arms = make([]*ArmSketch, len(w.arms))
+	for a, arm := range w.arms {
+		sketch := w.armSketch(arm.Name)
 		sketch.Errors = userErrors
-		// Deterministic fold: ascending user position, session order within
-		// the user, skipping users that failed anywhere in the shard.
-		for i, recs := range perArm[a] {
-			if failed[i] {
+		for i := range b.users {
+			if w.failed(b, i) {
 				continue
 			}
-			for _, rec := range recs {
+			for _, rec := range w.userRecs(b, a, i) {
 				sketch.AddSession(rec)
 			}
 		}

@@ -98,6 +98,18 @@ func NewArmSketch(name string) *ArmSketch {
 	return a
 }
 
+// reset empties a for reuse as the named arm's sketch, keeping the memory
+// of its digests.
+func (a *ArmSketch) reset(name string) {
+	a.Name, a.Sessions, a.Errors = name, 0, 0
+	for _, sketches := range [][]MetricSketch{a.Metrics, a.Buckets} {
+		for i := range sketches {
+			sketches[i].Moments = stats.Moments{}
+			sketches[i].Digest.Reset()
+		}
+	}
+}
+
 // AddSession folds one session into every metric sketch and its Fig 3
 // bucket's throughput sketch.
 func (a *ArmSketch) AddSession(rec SessionRecord) {

@@ -9,8 +9,8 @@ import (
 
 // This file is the worker side of the multi-process population fan-out: a
 // loop that scans the shard plan, claims unowned (or expired) shards via
-// lease files, runs them with the same runShard the single-process path
-// uses, and checkpoints the results. Workers never touch the manifest —
+// lease files, runs them on the same worker set and per-user task the
+// single-process path uses, and checkpoints the results. Workers never touch the manifest —
 // the coordinator owns it — so any number of workers can share a
 // checkpoint directory without write races.
 
@@ -105,8 +105,8 @@ type WorkerConfig struct {
 	ShardSize  int
 	// CheckpointDir is the shared coordination substrate. Required.
 	CheckpointDir string
-	// MaxShardRetries is the per-run user-failure retry budget passed
-	// through to runShard. Default DefaultShardRetries.
+	// MaxShardRetries is the per-run user-failure retry budget of each
+	// shard. Default DefaultShardRetries.
 	MaxShardRetries int
 	// Owner is this worker's lease identity. Default NewOwnerID().
 	Owner string
@@ -220,6 +220,8 @@ func RunWorker(cfg WorkerConfig) (*WorkerResult, error) {
 		CheckpointDir:   cfg.CheckpointDir,
 		MaxShardRetries: cfg.MaxShardRetries,
 	}
+	pool := newRunner(cfg.Experiment, cfg.Arms)
+	defer pool.close()
 	res := &WorkerResult{}
 	offset := 0
 	if n := len(plan); n > 0 && cfg.WorkerID > 0 {
@@ -257,7 +259,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerResult, error) {
 			if lease == nil {
 				continue // lost the race; move on
 			}
-			if ran, abandoned, userErrors := runLeasedShard(scfg, hash, plan[i], i, len(plan), lease, kind, cfg.Progress, cfg.Metrics, cfg.WorkerID); ran {
+			if ran, abandoned, userErrors := runLeasedShard(pool, scfg, hash, plan[i], i, len(plan), lease, kind, cfg.Progress, cfg.Metrics, cfg.WorkerID); ran {
 				res.Completed++
 				res.UserErrors += userErrors
 				if kind == claimStolen {
@@ -308,7 +310,7 @@ func stopChan(c <-chan struct{}) <-chan struct{} {
 // checkpoint if the lease survived, and releases. Returns ran=true when the
 // shard was executed and checkpointed by this holder, abandoned=true when
 // the lease was lost mid-run (no checkpoint written).
-func runLeasedShard(scfg ShardRunConfig, hash string, r shardRange, shard, numShards int, lease *Lease, kind claimKind,
+func runLeasedShard(w *runner, scfg ShardRunConfig, hash string, r shardRange, shard, numShards int, lease *Lease, kind claimKind,
 	progress func(FleetEvent), metrics *FleetMetrics, workerID int) (ran, abandoned bool, userErrors int) {
 	defer lease.Release()
 	// Double-check after winning the claim: another holder may have
@@ -324,7 +326,7 @@ func runLeasedShard(scfg ShardRunConfig, hash string, r shardRange, shard, numSh
 		Lo: r.lo, Hi: r.hi, Owner: lease.Owner(), Worker: workerID, Attempt: lease.Attempt()})
 
 	lease.StartHeartbeat()
-	arms, errs, retries := runShard(scfg, r)
+	payload := w.runShard(scfg, hash, shard, r)
 	// The pre-checkpoint ownership gate: a resurrected worker whose lease
 	// was stolen while it was suspended must abandon the shard. (Even if
 	// the gate races a steal, duplicate checkpoints are byte-identical, so
@@ -334,14 +336,6 @@ func runLeasedShard(scfg ShardRunConfig, hash string, r shardRange, shard, numSh
 			Lo: r.lo, Hi: r.hi, Owner: lease.Owner(), Worker: workerID, Attempt: lease.Attempt()})
 		return false, true, 0
 	}
-	payload := shardPayload{
-		ConfigHash: hash,
-		Shard:      shard, Lo: r.lo, Hi: r.hi,
-		UserErrors: errs, Retries: retries,
-	}
-	for _, a := range arms {
-		payload.Arms = append(payload.Arms, a.snapshot())
-	}
 	if _, err := writeShardCheckpoint(scfg.CheckpointDir, payload); err != nil {
 		// Disk trouble: leave the lease to expire so another worker (or the
 		// coordinator) retries the shard.
@@ -350,6 +344,6 @@ func runLeasedShard(scfg ShardRunConfig, hash string, r shardRange, shard, numSh
 		return false, true, 0
 	}
 	fleetObserve(progress, metrics, FleetEvent{Type: "done", Shard: shard, NumShards: numShards,
-		Lo: r.lo, Hi: r.hi, Owner: lease.Owner(), Worker: workerID, Attempt: lease.Attempt(), UserErrors: errs})
-	return true, false, errs
+		Lo: r.lo, Hi: r.hi, Owner: lease.Owner(), Worker: workerID, Attempt: lease.Attempt(), UserErrors: payload.UserErrors})
+	return true, false, payload.UserErrors
 }

@@ -1,8 +1,8 @@
 // Package durablerename enforces the fsync discipline of the checkpoint and
 // lease rename protocol (DESIGN.md §13, §15): the atomic-write recipe is
-// write tmp, fsync tmp, rename, fsync file, fsync parent dir — a crash at
-// any instant then leaves either the old file or the new file, never a torn
-// one, and the rename itself survives power loss. PR 10 made this recipe
+// write tmp, fsync tmp, rename, fsync parent dir — a crash at any instant
+// then leaves either the old file or the new file, never a torn one, and
+// the rename itself survives power loss. PR 10 made this recipe
 // load-bearing (kill/resume byte-identity rides on it) but only convention
 // kept new call sites honest.
 //

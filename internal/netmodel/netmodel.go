@@ -149,13 +149,21 @@ type Conn struct {
 // NewConn returns a connection over p using rng for stochastic components.
 // rng must not be nil.
 func NewConn(p Path, rng *rand.Rand) *Conn {
+	c := new(Conn)
+	c.Reset(p, rng)
+	return c
+}
+
+// Reset turns c into a fresh connection over p, exactly as NewConn would
+// build it, reusing c's memory. rng must not be nil.
+func (c *Conn) Reset(p Path, rng *rand.Rand) {
 	if p.Capacity <= 0 {
 		panic("netmodel: path capacity must be positive")
 	}
 	if rng == nil {
 		panic("netmodel: rng must not be nil")
 	}
-	c := &Conn{path: p.withDefaults(), rng: rng, cwndSegs: 10, ssthresh: 1 << 30}
+	*c = Conn{path: p.withDefaults(), rng: rng, cwndSegs: 10, ssthresh: 1 << 30}
 	if p.Faults != nil {
 		ge, err := fault.NewGilbertElliott(p.Faults.Loss, rng)
 		if err != nil {
@@ -163,7 +171,6 @@ func NewConn(p Path, rng *rand.Rand) *Conn {
 		}
 		c.ge = ge
 	}
-	return c
 }
 
 // baseRTT is the flow's uncongested RTT including ambient cross-traffic

@@ -17,7 +17,7 @@ type Flusher struct {
 
 	mu sync.Mutex
 	// first write error, sticky; guarded by mu
-	err error
+	err     error
 	stop    chan struct{}
 	done    chan struct{}
 	stopped bool

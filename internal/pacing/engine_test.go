@@ -61,14 +61,14 @@ func TestEngineWakeCreditConvergence(t *testing.T) {
 	defer s.Close()
 
 	var sent units.Bytes
-	start := time.Now() //sammy:nondeterministic-ok: real-time engine test measures actual wakeup latency against the wall clock
+	start := time.Now()                     //sammy:nondeterministic-ok: real-time engine test measures actual wakeup latency against the wall clock
 	for time.Since(start) < 2*time.Second { //sammy:nondeterministic-ok: real-time engine test measures actual wakeup latency against the wall clock
 		if err := s.Await(context.Background(), burst); err != nil {
 			t.Fatal(err)
 		}
 		sent += burst
 	}
-	elapsed := time.Since(start) //sammy:nondeterministic-ok: real-time engine test measures actual wakeup latency against the wall clock
+	elapsed := time.Since(start)           //sammy:nondeterministic-ok: real-time engine test measures actual wakeup latency against the wall clock
 	got := units.Rate(sent-burst, elapsed) // first burst is free
 	errPct := 100 * (float64(got) - float64(rate)) / float64(rate)
 	t.Logf("achieved %.3f Mbps vs %.3f requested (%.2f%% error) over %v", got.Mbps(), rate.Mbps(), errPct, elapsed)

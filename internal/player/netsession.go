@@ -13,17 +13,42 @@ import (
 // event per chunk.
 //
 // This is the population-scale driver: a ten-minute session costs
-// microseconds, so the A/B harness can run tens of thousands of them.
+// microseconds, so the A/B harness can run tens of thousands of them. Run
+// is a one-shot Session; population workers keep a Session per goroutine.
 func Run(cfg Config, path netmodel.Path, rng *rand.Rand, onChunk func(ChunkEvent)) QoE {
+	var s Session
+	return s.Run(cfg, path, rng, onChunk)
+}
+
+// Session is a reusable netmodel session driver: it owns the per-session
+// state Run needs (QoE accounting with its RTT digest, the throughput
+// estimator, the connection) and resets it at the start of every Run, so
+// a long-lived Session runs sequential sessions without allocating for
+// them. Results are identical to the package-level Run. A Session is not
+// safe for concurrent use.
+type Session struct {
+	acct accounting
+	est  *abr.Estimator
+	conn netmodel.Conn
+}
+
+// Run executes one session like the package-level Run, reusing s's state.
+func (s *Session) Run(cfg Config, path netmodel.Path, rng *rand.Rand, onChunk func(ChunkEvent)) QoE {
 	cfg.setDefaults()
-	acct := newAccounting(cfg)
-	est := abr.NewEstimator(cfg.EstimatorWindow)
+	acct := &s.acct
+	acct.reset(cfg)
+	if s.est == nil || s.est.Size() != cfg.EstimatorWindow {
+		s.est = abr.NewEstimator(cfg.EstimatorWindow)
+	}
+	est := s.est
+	est.Reset()
 
 	// All spans in this driver are stamped with session time (the *At
 	// forms), so fixed-seed runs export byte-identical traces.
 	sess := cfg.Trace.StartAt(0, "player.session", cfg.Controller.Name())
 
-	conn := netmodel.NewConn(path, rng)
+	conn := &s.conn
+	conn.Reset(path, rng)
 	now := conn.Connect() // handshake counts toward play delay
 
 	buffer := time.Duration(0)

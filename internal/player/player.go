@@ -150,7 +150,20 @@ type accounting struct {
 }
 
 func newAccounting(cfg Config) *accounting {
-	return &accounting{cfg: cfg, rtt: tdigest.New(100)}
+	a := new(accounting)
+	a.reset(cfg)
+	return a
+}
+
+// reset starts a new session's bookkeeping, reusing the RTT digest.
+func (a *accounting) reset(cfg Config) {
+	rtt := a.rtt
+	if rtt == nil {
+		rtt = tdigest.New(100)
+	} else {
+		rtt.Reset()
+	}
+	*a = accounting{cfg: cfg, rtt: rtt}
 }
 
 // chunkDone records one finished chunk download.

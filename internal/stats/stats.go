@@ -51,11 +51,11 @@ func Quantile(xs []float64, q float64) float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	return quantileSorted(s, q)
+	return QuantileSorted(s, q)
 }
 
-// quantileSorted is Quantile on an already-sorted slice.
-func quantileSorted(s []float64, q float64) float64 {
+// QuantileSorted is Quantile on an already-sorted slice, without the copy.
+func QuantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
@@ -120,8 +120,8 @@ func BootstrapPercentChange(treatment, control []float64, stat statFunc, iters i
 	sort.Float64s(deltas)
 	return CI{
 		Point: point,
-		Lo:    quantileSorted(deltas, 0.025),
-		Hi:    quantileSorted(deltas, 0.975),
+		Lo:    QuantileSorted(deltas, 0.025),
+		Hi:    QuantileSorted(deltas, 0.975),
 	}
 }
 

@@ -156,7 +156,7 @@ type Conn struct {
 	sentAt     map[int64]time.Duration // send times for RTT sampling (Karn)
 	pacer      *pacing.Pacer
 	paceTimer  sim.EventRef
-	paceCb     func() // pre-bound pace-timer callback (no per-arm closure)
+	paceCb     func()  // pre-bound pace-timer callback (no per-arm closure)
 	cwndCap    float64 // Trickle-style window cap in segments; 0 = off
 	lastSend   time.Duration
 

@@ -11,7 +11,7 @@ package tdigest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // centroid is a weighted point in the sketch.
@@ -25,9 +25,16 @@ type centroid struct {
 type TDigest struct {
 	compression float64
 	centroids   []centroid
+	// buffer holds samples not yet compressed. It grows on demand (most
+	// digests see far fewer samples than a full buffer) and compression
+	// triggers when it reaches bufferLimit samples.
 	buffer      []centroid
-	count       float64
-	min, max    float64
+	bufferLimit int
+	// spare is the previous centroid array, reused by the next compress
+	// as its merge workspace.
+	spare    []centroid
+	count    float64
+	min, max float64
 }
 
 // New returns a t-digest with the given compression parameter. Larger
@@ -39,10 +46,20 @@ func New(compression float64) *TDigest {
 	}
 	return &TDigest{
 		compression: compression,
-		buffer:      make([]centroid, 0, int(8*compression)),
+		bufferLimit: int(8 * compression),
 		min:         math.Inf(1),
 		max:         math.Inf(-1),
 	}
+}
+
+// Reset empties the digest for reuse, keeping its compression and the
+// memory of its buffers. A reset digest behaves bit-identically to a fresh
+// New digest of the same compression.
+func (t *TDigest) Reset() {
+	t.centroids = t.centroids[:0]
+	t.buffer = t.buffer[:0]
+	t.count = 0
+	t.min, t.max = math.Inf(1), math.Inf(-1)
 }
 
 // Add inserts a sample with weight 1.
@@ -54,6 +71,9 @@ func (t *TDigest) AddWeighted(x, w float64) {
 	if math.IsNaN(x) || w <= 0 {
 		return
 	}
+	if len(t.buffer) == cap(t.buffer) {
+		t.growBuffer()
+	}
 	t.buffer = append(t.buffer, centroid{mean: x, weight: w})
 	t.count += w
 	if x < t.min {
@@ -62,9 +82,24 @@ func (t *TDigest) AddWeighted(x, w float64) {
 	if x > t.max {
 		t.max = x
 	}
-	if len(t.buffer) == cap(t.buffer) {
+	if len(t.buffer) == t.bufferLimit {
 		t.compress()
 	}
+}
+
+// initialBuffer is the buffer capacity a digest starts with on its first
+// sample.
+const initialBuffer = 64
+
+// growBuffer enlarges a full buffer: to initialBuffer first, then straight
+// to bufferLimit, so a digest that fills up allocates barely more than one
+// eager full-size buffer while a digest of a few dozen samples stays small.
+func (t *TDigest) growBuffer() {
+	n := min(initialBuffer, t.bufferLimit)
+	if cap(t.buffer) >= n {
+		n = t.bufferLimit
+	}
+	t.buffer = append(make([]centroid, 0, n), t.buffer...)
 }
 
 // Merge folds the contents of other into t, leaving other unchanged. This is
@@ -249,9 +284,9 @@ func (t *TDigest) compress() {
 	if len(t.buffer) == 0 {
 		return
 	}
-	merged := append(t.centroids, t.buffer...)
+	merged := append(append(t.spare[:0], t.centroids...), t.buffer...)
 	t.buffer = t.buffer[:0]
-	sort.Slice(merged, func(i, j int) bool { return merged[i].mean < merged[j].mean })
+	slices.SortFunc(merged, byMean)
 
 	out := merged[:0]
 	var cum float64 // weight before the current output centroid
@@ -274,7 +309,21 @@ func (t *TDigest) compress() {
 		}
 	}
 	out = append(out, cur)
-	t.centroids = append([]centroid(nil), out...)
+	t.spare, t.centroids = t.centroids, out
+}
+
+// byMean orders centroids by mean. It is negative exactly when a.mean <
+// b.mean, so slices.SortFunc makes the same comparisons and swaps as the
+// sort.Slice less function it replaced (both are the same pdqsort), and
+// compressed digests stay bit-identical.
+func byMean(a, b centroid) int {
+	switch {
+	case a.mean < b.mean:
+		return -1
+	case a.mean > b.mean:
+		return 1
+	}
+	return 0
 }
 
 // kScale is the k1 scale function, k1(q) = δ/(2π)·asin(2q−1), which maps

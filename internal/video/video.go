@@ -147,14 +147,28 @@ type Title struct {
 // drawn from rng (lognormal, σ≈0.2, mean 1). A nil rng yields constant-size
 // chunks.
 func NewTitle(ladder Ladder, chunkDuration time.Duration, numChunks int, rng *rand.Rand) *Title {
+	t := new(Title)
+	t.Init(ladder, chunkDuration, numChunks, rng)
+	return t
+}
+
+// Init redraws t in place as NewTitle would build it, drawing the same
+// numbers from rng, but reusing t's jitter storage: a long-lived Title
+// serves any number of sessions without allocating once it has held the
+// longest of them.
+func (t *Title) Init(ladder Ladder, chunkDuration time.Duration, numChunks int, rng *rand.Rand) {
 	if numChunks <= 0 || chunkDuration <= 0 {
 		panic("video: title needs positive chunk count and duration")
 	}
-	t := &Title{
+	jitter := t.sizeJitter
+	if cap(jitter) < numChunks {
+		jitter = make([]float64, numChunks)
+	}
+	*t = Title{
 		Ladder:        ladder,
 		ChunkDuration: chunkDuration,
 		NumChunks:     numChunks,
-		sizeJitter:    make([]float64, numChunks),
+		sizeJitter:    jitter[:numChunks],
 	}
 	for i := range t.sizeJitter {
 		if rng == nil {
@@ -165,7 +179,6 @@ func NewTitle(ladder Ladder, chunkDuration time.Duration, numChunks int, rng *ra
 			t.sizeJitter[i] = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
 		}
 	}
-	return t
 }
 
 // Duration reports the title's total playback duration.
