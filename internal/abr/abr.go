@@ -11,7 +11,6 @@
 package abr
 
 import (
-	"sort"
 	"time"
 
 	trace "repro/internal/obs/trace"
@@ -162,31 +161,61 @@ func (h HYB) SelectRung(ctx Context) int {
 // highestFeasibleRung is the highest rung whose predicted buffer stays
 // positive over the lookahead at throughput x, or rung 0 when none does.
 // Feasibility is monotone in the rung — ladder bitrates strictly ascend,
-// SizeAt floors nominal·jitter, TimeToSend truncates and the MaxBuffer clamp
-// is monotone, so a larger rung never leaves more buffer at any step — which
-// makes the feasible rungs a prefix of the ladder and lets a binary search
-// (about 4 simulations on the 13-rung default ladder) find its end.
+// the chunk size floors nominal·jitter, TimeToSend truncates and the
+// MaxBuffer clamp is monotone, so a larger rung never leaves more buffer at
+// any step — which makes the feasible rungs a prefix of the ladder, and any
+// search that brackets the prefix's end finds the same rung. This one
+// gallops outward from the previous rung, where the answer usually is (a
+// stable rung costs two simulations), then bisects the bracket. Rung 0 is
+// the answer whether or not it is feasible, so it is never simulated.
 func highestFeasibleRung(ctx Context, look int, x units.BitsPerSecond) int {
-	firstInfeasible := sort.Search(len(ctx.Title.Ladder), func(rung int) bool {
-		return !predictedBufferPositive(ctx, rung, look, x)
-	})
-	return max(firstInfeasible-1, 0)
+	feasible := func(rung int) bool { return predictedBufferPositive(ctx, rung, look, x) }
+	n := len(ctx.Title.Ladder)
+	// Invariant: lo is 0 or feasible, hi is n or infeasible, and the rungs
+	// strictly between them are unknown.
+	lo, hi := 0, n
+	if p := ctx.PrevRung; p >= 0 && p < n {
+		if p == 0 || feasible(p) {
+			lo = p
+			for step := 1; lo+step < n; step *= 2 {
+				if !feasible(lo + step) {
+					hi = lo + step
+					break
+				}
+				lo += step
+			}
+		} else {
+			hi = p
+			for step := 1; hi-step > 0; step *= 2 {
+				if feasible(hi - step) {
+					lo = hi - step
+					break
+				}
+				hi -= step
+			}
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if feasible(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // predictedBufferPositive simulates the buffer over the lookahead at the
-// given rung and discounted throughput, chunk by chunk with real sizes.
-// It iterates Title.SizeAt directly rather than materializing a size slice:
-// this runs once per rung per chunk decision across every simulated session,
-// and was the single largest allocation source in population experiments.
+// given rung and discounted throughput, chunk by chunk with real sizes. It
+// runs once per probed rung per chunk decision across every simulated
+// session, so it walks the title's RungSizes view, which computes the
+// rung's nominal size once per call instead of once per chunk.
 func predictedBufferPositive(ctx Context, rung, look int, x units.BitsPerSecond) bool {
 	buf := ctx.Buffer
-	end := ctx.ChunkIndex + look
-	if end > ctx.Title.NumChunks {
-		end = ctx.Title.NumChunks
-	}
-	for i := ctx.ChunkIndex; i < end; i++ {
-		dl := x.TimeToSend(ctx.Title.SizeAt(i, rung))
-		buf -= dl
+	sizes := ctx.Title.RungSizes(rung, ctx.ChunkIndex, ctx.ChunkIndex+look)
+	for i := range sizes.Len() {
+		buf -= x.TimeToSend(sizes.At(i))
 		if buf < 0 {
 			return false
 		}

@@ -212,8 +212,11 @@ func (r *runner) work(w *sessionWorker) {
 // digest, estimator, connection), the title's jitter, the user's history
 // and the pre-experiment throughput samples.
 type sessionWorker struct {
-	cfg   Config
+	cfg Config
+	// rng draws from src, which re-seeds faster than rand.NewSource's
+	// source and reproduces its streams bit for bit.
 	rng   *rand.Rand
+	src   seedSource
 	sess  player.Session
 	title video.Title
 	hist  core.History
@@ -224,7 +227,8 @@ type sessionWorker struct {
 }
 
 func newSessionWorker(cfg Config) *sessionWorker {
-	w := &sessionWorker{cfg: cfg, rng: rand.New(rand.NewSource(0))}
+	w := &sessionWorker{cfg: cfg}
+	w.rng = rand.New(&w.src)
 	w.preExpChunk = func(ev player.ChunkEvent) { w.tputs = append(w.tputs, ev.Throughput.Mbps()) }
 	return w
 }
@@ -252,8 +256,8 @@ func recoverUser(u *User, err *error) {
 // throughput from a short unpaced control session.
 func (w *sessionWorker) measurePreExperiment(u *User) (err error) {
 	defer recoverUser(u, &err)
-	// (*rand.Rand).Seed leaves exactly the state rand.New(rand.NewSource(s))
-	// starts in, so re-seeding the worker's RNG replays the user's stream.
+	// Re-seeding the worker's RNG leaves exactly the state
+	// rand.New(rand.NewSource(s)) starts in, so it replays the user's stream.
 	w.rng.Seed(u.Seed ^ 0x5eed)
 	w.title.Init(w.cfg.Ladder.CapAt(u.TopBitrate), w.cfg.ChunkDuration, 40, w.rng)
 	w.hist = core.History{}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -160,11 +161,12 @@ func TestChaosInjectedElapsedClock(t *testing.T) {
 		20 * time.Second, 25 * time.Second, // after it ends
 	}
 	run := func() []string {
-		var now time.Duration
+		// The handler goroutine reads the clock the test goroutine sets.
+		var now atomic.Int64
 		chaos, err := NewChaos(ChaosConfig{
 			Seed:     7,
 			Timeline: MustTimeline(Phase{Start: 10 * time.Second, Duration: 10 * time.Second, Multiplier: 0}),
-			Elapsed:  func() time.Duration { return now },
+			Elapsed:  func() time.Duration { return time.Duration(now.Load()) },
 		}, chaosBody)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +175,7 @@ func TestChaosInjectedElapsedClock(t *testing.T) {
 		defer srv.Close()
 		var out []string
 		for _, tick := range ticks {
-			now = tick
+			now.Store(int64(tick))
 			out = append(out, chaosOutcomes(t, srv.URL, 1)...)
 		}
 		return out

@@ -32,9 +32,12 @@ type TDigest struct {
 	bufferLimit int
 	// spare is the previous centroid array, reused by the next compress
 	// as its merge workspace.
-	spare    []centroid
-	count    float64
-	min, max float64
+	spare []centroid
+	// stepSin and stepCos are sin and cos of 2π/compression, the k1
+	// scale's unit step as an angle (see kBound).
+	stepSin, stepCos float64
+	count            float64
+	min, max         float64
 }
 
 // New returns a t-digest with the given compression parameter. Larger
@@ -44,12 +47,14 @@ func New(compression float64) *TDigest {
 	if compression < 10 {
 		compression = 10
 	}
-	return &TDigest{
+	t := &TDigest{
 		compression: compression,
 		bufferLimit: int(8 * compression),
 		min:         math.Inf(1),
 		max:         math.Inf(-1),
 	}
+	t.stepSin, t.stepCos = math.Sincos(2 * math.Pi / compression)
+	return t
 }
 
 // Reset empties the digest for reuse, keeping its compression and the
@@ -291,25 +296,78 @@ func (t *TDigest) compress() {
 	out := merged[:0]
 	var cum float64 // weight before the current output centroid
 	cur := merged[0]
-	kLo := t.kScale(0) // k value at the start of the current centroid
+	b := t.bound(0) // the k1 bound on the current centroid
 	for _, c := range merged[1:] {
 		proposed := cur.weight + c.weight
-		q1 := (cum + proposed) / t.count
 		// A centroid may span at most one unit of the k1 scale function,
 		// which keeps centroids tiny near the tails and large in the middle.
-		if t.kScale(q1)-kLo <= 1 {
+		if b.allows((cum + proposed) / t.count) {
 			// Merge c into cur (weighted mean).
 			cur.mean = (cur.mean*cur.weight + c.mean*c.weight) / proposed
 			cur.weight = proposed
 		} else {
 			out = append(out, cur)
 			cum += cur.weight
-			kLo = t.kScale(cum / t.count)
+			b = t.bound(cum / t.count)
 			cur = c
 		}
 	}
 	out = append(out, cur)
 	t.spare, t.centroids = t.centroids, out
+}
+
+// kBound is the k1 size bound on one output centroid, which starts at
+// quantile qLo: the centroid may grow to q1 while kScale(q1) − kScale(qLo)
+// ≤ 1. Evaluated as written that is one asin per merged sample; kBound
+// instead compares q1 with the quantile thr where k1 has grown by exactly
+// one unit, (sin((kScale(qLo)+1)·2π/δ)+1)/2, and falls back to the asin
+// test only within guard of thr.
+//
+// thr is computed without asin or sin: with y = 2qLo−1 and a = 2π/δ it is
+// (1 + sin(asin(y)+a))/2 = (1 + y·cos a + √((1−y)(1+y))·sin a)/2. Once
+// asin(y)+a reaches π/2 (y ≥ cos a) k1 cannot grow a unit before q = 1, so
+// thr is 1 and every q1 past 1−guard takes the asin test, which clamps q
+// at 1. thr's rounding error, and the asin test's own, stay below 1e-13
+// in q, far inside guard, so both tests agree outside the band. The
+// exception is a centroid starting within guard of q = 0 (but not at it):
+// there asin's rounding moves kScale(qLo) by more, so such a centroid
+// takes the asin test throughout.
+type kBound struct {
+	t   *TDigest
+	qLo float64
+	// lo and hi bound the band: q1 < lo merges, q1 > hi does not, and the
+	// asin test decides in between.
+	lo, hi float64
+}
+
+// guard is the half-width of the band around kBound's threshold in which
+// the asin test decides.
+const guard = 1e-9
+
+// bound returns the k1 bound on a centroid starting at quantile qLo.
+func (t *TDigest) bound(qLo float64) kBound {
+	b := kBound{t: t, qLo: qLo, lo: math.Inf(-1), hi: math.Inf(1)}
+	y := 2*min(max(qLo, 0), 1) - 1
+	switch {
+	case y >= t.stepCos:
+		b.lo = 1 - guard
+	case y == -1 || y > -1+guard:
+		thr := (1 + y*t.stepCos + math.Sqrt((1-y)*(1+y))*t.stepSin) / 2
+		b.lo, b.hi = thr-guard, thr+guard
+	}
+	return b
+}
+
+// allows reports whether the centroid may extend to quantile q1, exactly
+// as kScale(q1) − kScale(qLo) ≤ 1 evaluates.
+func (b kBound) allows(q1 float64) bool {
+	switch {
+	case q1 < b.lo:
+		return true
+	case q1 > b.hi:
+		return false
+	}
+	return b.t.kScale(q1)-b.t.kScale(b.qLo) <= 1
 }
 
 // byMean orders centroids by mean. It is negative exactly when a.mean <

@@ -187,32 +187,17 @@ func (t *Title) Duration() time.Duration {
 }
 
 // SizeAt reports the encoded size of chunk index at rung rungIndex without
-// materializing a Chunk — the allocation-free fast path MPC-style lookahead
-// hammers (one call per rung per upcoming chunk per decision). It computes
-// the size with exactly the same arithmetic as ChunkAt.
+// materializing a Chunk.
 func (t *Title) SizeAt(index, rungIndex int) units.Bytes {
-	if index < 0 || index >= t.NumChunks {
-		panic(fmt.Sprintf("video: chunk index %d out of range [0,%d)", index, t.NumChunks))
-	}
-	nominal := float64(t.Ladder[rungIndex].Bitrate) / 8 * t.ChunkDuration.Seconds()
-	size := units.Bytes(nominal * t.sizeJitter[index])
-	if size < 1 {
-		size = 1
-	}
-	return size
+	t.checkIndex(index)
+	return scaledSize(t.nominalSize(rungIndex), t.sizeJitter[index])
 }
 
 // ChunkAt materializes chunk index at rung r.
 func (t *Title) ChunkAt(index, rungIndex int) Chunk {
-	if index < 0 || index >= t.NumChunks {
-		panic(fmt.Sprintf("video: chunk index %d out of range [0,%d)", index, t.NumChunks))
-	}
+	t.checkIndex(index)
 	rung := t.Ladder[rungIndex]
-	nominal := float64(rung.Bitrate) / 8 * t.ChunkDuration.Seconds()
-	size := units.Bytes(nominal * t.sizeJitter[index])
-	if size < 1 {
-		size = 1
-	}
+	size := scaledSize(t.nominalSize(rungIndex), t.sizeJitter[index])
 	// Scene complexity also moves perceptual quality at a fixed bitrate:
 	// complex (larger-than-nominal) chunks score a little lower, easy ones
 	// a little higher. This keeps session VMAF off a hard ceiling, so
@@ -227,14 +212,47 @@ func (t *Title) ChunkAt(index, rungIndex int) Chunk {
 	return Chunk{Index: index, Duration: t.ChunkDuration, Rung: rung, Size: size}
 }
 
-// UpcomingSizes reports the sizes of the next n chunks starting at index if
-// they were all fetched at rungIndex — the lookahead input to MPC-style ABR.
-// Decision loops should prefer iterating SizeAt directly, which allocates
-// nothing.
-func (t *Title) UpcomingSizes(index, rungIndex, n int) []units.Bytes {
-	sizes := make([]units.Bytes, 0, n)
-	for i := index; i < index+n && i < t.NumChunks; i++ {
-		sizes = append(sizes, t.SizeAt(i, rungIndex))
+// RungSizes is a read-only view of the sizes of a run of consecutive
+// chunks at one rung. It hoists the rung's nominal size out of the
+// per-chunk loop, so a lookahead that probes one rung over many chunks
+// pays for one multiply and floor per chunk; At(i) equals SizeAt(from+i,
+// rung) bit for bit.
+type RungSizes struct {
+	nominal float64
+	jitter  []float64
+}
+
+// RungSizes returns the sizes of chunks [from, to) at rung rungIndex, with
+// to clamped to the title's end (an empty view when from ≥ to).
+func (t *Title) RungSizes(rungIndex, from, to int) RungSizes {
+	to = min(to, t.NumChunks)
+	if from >= to {
+		return RungSizes{}
 	}
-	return sizes
+	t.checkIndex(from)
+	return RungSizes{nominal: t.nominalSize(rungIndex), jitter: t.sizeJitter[from:to]}
+}
+
+// Len reports how many chunks the view covers.
+func (s RungSizes) Len() int { return len(s.jitter) }
+
+// At reports the size of the view's i-th chunk.
+func (s RungSizes) At(i int) units.Bytes { return scaledSize(s.nominal, s.jitter[i]) }
+
+// nominalSize is a chunk's size at rungIndex before VBR jitter, in bytes.
+func (t *Title) nominalSize(rungIndex int) float64 {
+	return float64(t.Ladder[rungIndex].Bitrate) / 8 * t.ChunkDuration.Seconds()
+}
+
+// scaledSize is the one chunk-size formula: the nominal size scaled by the
+// chunk's jitter, truncated to whole bytes and at least one byte.
+func scaledSize(nominal, jitter float64) units.Bytes {
+	return max(units.Bytes(nominal*jitter), 1)
+}
+
+// checkIndex panics unless index names one of the title's chunks.
+func (t *Title) checkIndex(index int) {
+	if index < 0 || index >= t.NumChunks {
+		panic(fmt.Sprintf("video: chunk index %d out of range [0,%d)", index, t.NumChunks))
+	}
 }

@@ -120,11 +120,34 @@ func TestTitleChunkAtPanicsOutOfRange(t *testing.T) {
 	title.ChunkAt(5, 0)
 }
 
-func TestUpcomingSizesTruncatesAtEnd(t *testing.T) {
+func TestRungSizesTruncatesAtEnd(t *testing.T) {
 	title := NewTitle(DefaultLadder(), 4*time.Second, 5, nil)
-	sizes := title.UpcomingSizes(3, 0, 10)
-	if len(sizes) != 2 {
-		t.Errorf("UpcomingSizes near end = %d entries, want 2", len(sizes))
+	if n := title.RungSizes(0, 3, 13).Len(); n != 2 {
+		t.Errorf("RungSizes near end = %d entries, want 2", n)
+	}
+	if n := title.RungSizes(0, 5, 13).Len(); n != 0 {
+		t.Errorf("RungSizes past end = %d entries, want 0", n)
+	}
+}
+
+// TestRungSizesMatchSizeAtAndChunkAt pins the lookahead view to the size
+// formula SizeAt and ChunkAt use, over every chunk, rung and start.
+func TestRungSizesMatchSizeAtAndChunkAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	title := NewTitle(DefaultLadder(), 3*time.Second, 30, rng)
+	for rung := range title.Ladder {
+		for from := 0; from < title.NumChunks; from++ {
+			sizes := title.RungSizes(rung, from, from+8)
+			for i := range sizes.Len() {
+				want := title.SizeAt(from+i, rung)
+				if got := sizes.At(i); got != want {
+					t.Fatalf("rung %d chunk %d: RungSizes %d, SizeAt %d", rung, from+i, got, want)
+				}
+				if c := title.ChunkAt(from+i, rung); c.Size != want {
+					t.Fatalf("rung %d chunk %d: ChunkAt size %d, SizeAt %d", rung, from+i, c.Size, want)
+				}
+			}
+		}
 	}
 }
 
